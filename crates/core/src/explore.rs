@@ -307,11 +307,12 @@ impl<'n> CoAnalysis<'n> {
             "co-analysis of {} starting", self.netlist.name
         );
 
-        // root task from a freshly prepared simulator
-        let root_state = {
-            let mut sim = self.make_sim(&prepare, compiled.as_ref());
-            sim.save_state()
-        };
+        // root task from a freshly prepared simulator, which then becomes
+        // worker 0's: a run constructs one simulator per worker, not one
+        // more for the root snapshot
+        let mut root_sim = self.make_sim(&prepare, compiled.as_ref());
+        let root_state = root_sim.save_state();
+        let mut root_sim = Some(root_sim);
         // the provenance collector seeds synthetic reset attributions from
         // the root snapshot — the same values ToggleProfile::baseline marks
         // toggled at arm time, since workers prepare deterministically
@@ -338,11 +339,13 @@ impl<'n> CoAnalysis<'n> {
                 let prepare = &prepare;
                 let compiled = &compiled;
                 let prov = &prov;
+                let root_sim = if w == 0 { root_sim.take() } else { None };
                 scope.spawn(move || {
                     if self.config.trace.is_some() {
                         tracefile::set_thread_worker(w as i64);
                     }
-                    let mut sim = self.make_sim(prepare, compiled.as_ref());
+                    let mut sim =
+                        root_sim.unwrap_or_else(|| self.make_sim(prepare, compiled.as_ref()));
                     self.worker_loop(w, &mut sim, queue, csm, created, registry, prov.as_ref());
                     // engine statistics are plain fields (no hot-path
                     // atomics); each worker drains its own once at exit
