@@ -1,11 +1,13 @@
-//! Path-cohort lane kernel: one bit-plane pass settling up to 64 sibling
-//! paths vs. the scalar segment loop it replaces, plus the fixed
-//! pack/unpack overhead a cohort pays before any cycles run.
+//! Path-cohort lane kernel: the levelized tape sweep settling up to 64
+//! sibling paths vs. the scalar segment loop it replaces, plus the fixed
+//! pack/unpack overhead a cohort pays before any cycles run (the first
+//! pack of a simulator also compiles its tape; criterion's warm-up
+//! absorbs that).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use symsim_logic::{plane::Lanes, Value, Word};
 use symsim_netlist::{Netlist, RtlBuilder};
-use symsim_sim::{EvalMode, SimConfig, SimState, Simulator};
+use symsim_sim::{SimConfig, SimState, Simulator};
 
 const CYCLES: u64 = 64;
 
@@ -76,13 +78,7 @@ fn cohort_vs_scalar(c: &mut Criterion) {
         });
 
         group.bench_with_input(BenchmarkId::new("cohort", n), &n, |bch, &n| {
-            let mut sim = Simulator::new(
-                &nl,
-                SimConfig {
-                    eval_mode: EvalMode::Cohort,
-                    ..SimConfig::default()
-                },
-            );
+            let mut sim = Simulator::new(&nl, SimConfig::default());
             let d = sim.find_bus("d", 8).unwrap();
             let base = fork_base(&mut sim, &d);
             bch.iter(|| {
@@ -106,13 +102,7 @@ fn cohort_vs_scalar(c: &mut Criterion) {
 
 fn pack_unpack_overhead(c: &mut Criterion) {
     let nl = lanes_dp();
-    let mut sim = Simulator::new(
-        &nl,
-        SimConfig {
-            eval_mode: EvalMode::Cohort,
-            ..SimConfig::default()
-        },
-    );
+    let mut sim = Simulator::new(&nl, SimConfig::default());
     let d = sim.find_bus("d", 8).unwrap();
     let base = fork_base(&mut sim, &d);
 

@@ -5,26 +5,28 @@
 //! cargo run --release -p symsim-bench --bin bench_coanalysis [-- --smoke]
 //! ```
 //!
-//! Each (cpu, benchmark) pair runs five times — event-driven, hybrid
-//! batched dispatch, path-cohort lane evaluation, the compiled native
+//! Each (cpu, benchmark) pair runs four times — event-driven (purely
+//! scalar, the reference), hybrid batched dispatch, the compiled native
 //! kernel, and a hybrid run under the adaptive CSM policy — with a single
 //! worker so the explorations are deterministic and comparable. The binary
-//! *asserts* that the four eval modes produce identical
-//! `paths_created`/`simulated_cycles`/exercisable-gate results (the
-//! batched, cohort, and compiled kernels must only change speed, never
-//! results) and records every throughput so the speedups are visible
-//! in-repo. Cohort runs additionally carry a `cohort` section per entry
-//! (cohorts formed, mean/max lane occupancy, scalar spills); compiled runs
+//! *asserts* that the three eval modes produce identical
+//! `paths_created`/`simulated_cycles`/exercisable-gate results (batched
+//! dispatch, sibling-path lane packing, and the compiled kernel must only
+//! change speed, never results) and records every throughput so the
+//! speedups are visible in-repo. Every non-event run packs sibling paths
+//! into lane cohorts and carries a `cohort` section per entry (cohorts
+//! formed, mean/max lane occupancy, scalar spills); compiled runs
 //! carry a `compiled` section (kernel settles, cache hit/miss, and the
 //! cold-start wall time of the run that paid codegen — the measured entry
 //! itself runs on a warm cache, so `rustc` cost is excluded).
 //!
 //! Modes and observability flags:
 //!
-//! * `--smoke` runs only the smallest pair in `event`, `batch`, `cohort`,
+//! * `--smoke` runs only the smallest pair in `event`, `batch`, `hybrid`,
 //!   and `compiled` modes and writes no bench file: the CI divergence check
-//!   (all results are asserted identical to event mode, and the second
-//!   compiled run must hit the kernel cache).
+//!   (all results are asserted identical to event mode, the default run
+//!   must actually pack lane cohorts, and the second compiled run must hit
+//!   the kernel cache).
 //! * `--pair cpu/bench` (e.g. `dr5/binsearch`) runs that single pair once
 //!   (`--eval-mode`, default hybrid; `--csm-policy single|multi:N|adaptive`,
 //!   default single) and prints the report as JSON.
@@ -305,7 +307,7 @@ fn assert_equivalent(
 
 /// The per-entry `cohort` section: lane-packing effectiveness read from
 /// the run's metrics snapshot. `null` when the run formed no cohorts
-/// (event/hybrid entries, or a cohort run that never forked).
+/// (event entries, or a run that never forked).
 fn cohort_section(r: &CoAnalysisReport) -> String {
     let formed = r.metrics.counter("cohorts_formed");
     if formed == 0 {
@@ -481,18 +483,23 @@ fn main() {
         let (kind, bench) = SMOKE;
         info!(
             "bench",
-            "smoke: {} / {bench} in event, batch, cohort, and compiled modes...",
+            "smoke: {} / {bench} in event, batch, hybrid, and compiled modes...",
             kind.name()
         );
         let single = CsmPolicy::SingleMerge;
         let event = run_mode(kind, bench, EvalMode::Event, single, &opts, false, false).report;
         let batch = run_mode(kind, bench, EvalMode::Batch, single, &opts, false, false).report;
         assert_equivalent(kind, bench, &event, &batch, EvalMode::Batch);
-        let cohort = run_mode(kind, bench, EvalMode::Cohort, single, &opts, false, false).report;
-        assert_equivalent(kind, bench, &event, &cohort, EvalMode::Cohort);
+        let hybrid = run_mode(kind, bench, EvalMode::Hybrid, single, &opts, false, false).report;
+        assert_equivalent(kind, bench, &event, &hybrid, EvalMode::Hybrid);
         assert!(
-            cohort.metrics.counter("cohorts_formed") > 0,
-            "smoke: cohort mode never packed a lane cohort"
+            hybrid.metrics.counter("cohorts_formed") > 0,
+            "smoke: the default mode never packed a lane cohort"
+        );
+        assert_eq!(
+            event.metrics.counter("cohorts_formed"),
+            0,
+            "smoke: event mode must stay purely scalar"
         );
         // first compiled run may pay codegen; second must hit the cache
         let cold = run_mode(kind, bench, EvalMode::Compiled, single, &opts, false, false).report;
@@ -574,13 +581,6 @@ fn main() {
         );
         let hybrid = run_mode(kind, bench, EvalMode::Hybrid, single, &opts, true, false);
         assert_equivalent(kind, bench, &event.report, &hybrid.report, EvalMode::Hybrid);
-        info!(
-            "bench",
-            "co-analysis: {} / {bench} (cohort)...",
-            kind.name()
-        );
-        let cohort = run_mode(kind, bench, EvalMode::Cohort, single, &opts, true, false);
-        assert_equivalent(kind, bench, &event.report, &cohort.report, EvalMode::Cohort);
         info!(
             "bench",
             "co-analysis: {} / {bench} (compiled, cold then warm)...",
@@ -679,18 +679,15 @@ fn main() {
         }
         let event_secs = event.report.wall_time.as_secs_f64().max(1e-9);
         let hybrid_secs = hybrid.report.wall_time.as_secs_f64().max(1e-9);
-        let cohort_secs = cohort.report.wall_time.as_secs_f64().max(1e-9);
         let compiled_secs = compiled.report.wall_time.as_secs_f64().max(1e-9);
         info!(
             "bench",
-            "  {} / {bench}: {:.1} -> {:.1} (hybrid, {:.2}x) -> {:.1} (cohort, {:.2}x) \
+            "  {} / {bench}: {:.1} -> {:.1} (hybrid, {:.2}x) \
              -> {:.1} (compiled, {:.2}x) cycles/sec",
             kind.name(),
             event.report.simulated_cycles as f64 / event_secs,
             hybrid.report.simulated_cycles as f64 / hybrid_secs,
             event_secs / hybrid_secs,
-            cohort.report.simulated_cycles as f64 / cohort_secs,
-            event_secs / cohort_secs,
             compiled.report.simulated_cycles as f64 / compiled_secs,
             event_secs / compiled_secs,
         );
@@ -706,7 +703,6 @@ fn main() {
         );
         entries.push(entry(kind, bench, EvalMode::Event, single, &event, None));
         entries.push(entry(kind, bench, EvalMode::Hybrid, single, &hybrid, None));
-        entries.push(entry(kind, bench, EvalMode::Cohort, single, &cohort, None));
         entries.push(entry(
             kind,
             bench,

@@ -32,7 +32,7 @@ usage:
                   [--csm-demote-widenings N] [--csm-demote-obs N]
                   [--workers N] [--max-cycles N]
                   [--max-paths N] [--profile-out profile.txt] [--power yes]
-                  [--tagged yes] [--eval-mode event|batch|hybrid|cohort|compiled]
+                  [--tagged yes] [--eval-mode event|batch|hybrid|compiled]
                   [--batch-threshold PCT] [--attribution yes]
   symsim explain  <design.v> ... (same flags as analyze) [--net <net>]
                   [--witness-out witness.json]
@@ -48,7 +48,7 @@ usage:
   symsim simulate <design.v> --program app.hex --finish <net>
                   [--cycles N] [--pmem pmem] [--dmem dmem] [--data a=v,...]
                   [--watch net,net,...] [--vcd out.vcd]
-                  [--eval-mode event|batch|hybrid|cohort|compiled]
+                  [--eval-mode event|batch|hybrid|compiled]
   symsim fault    <design.v> --program app.hex [--cycles N]
                   [--pmem pmem] [--dmem dmem] [--data a=v,...]
                   [--max-faults N] [--observe net,net,...]
@@ -967,7 +967,9 @@ mod tests {
         assert_eq!(parse_eval_mode(Some("event")).unwrap(), EvalMode::Event);
         assert_eq!(parse_eval_mode(Some("batch")).unwrap(), EvalMode::Batch);
         assert_eq!(parse_eval_mode(Some("hybrid")).unwrap(), EvalMode::Hybrid);
-        assert_eq!(parse_eval_mode(Some("cohort")).unwrap(), EvalMode::Cohort);
+        // lane packing is what every non-event mode does, not a mode
+        let err = parse_eval_mode(Some("cohort")).unwrap_err();
+        assert!(err.contains("event, batch, hybrid, or compiled"), "{err}");
         assert_eq!(
             parse_eval_mode(Some("compiled")).unwrap(),
             EvalMode::Compiled

@@ -115,14 +115,7 @@ fn summarize(trace: &Trace) -> Result<(), String> {
 
 fn print_phase_table(trace: &Trace) {
     let table = trace.phase_table();
-    let total: u64 = trace
-        .records
-        .iter()
-        .map(|r| match r {
-            TraceRecord::PathEnd { phases, .. } => phases.seg_us + phases.wait_us,
-            _ => 0,
-        })
-        .sum();
+    let total = trace.attributed_us();
     if table.is_empty() {
         return;
     }

@@ -137,9 +137,8 @@ struct Task {
     /// formation sequence number of the conservative state it split from.
     /// Consulted once at dequeue for pre-split subsumption (adaptive
     /// policy): a state formed after `born_seq` that covers this child's
-    /// forced start state makes it redundant. `None` for the root, for
-    /// spilled-lane continuations, and for lanes already screened by
-    /// their cohort.
+    /// forced start state makes it redundant. `None` for the root and for
+    /// cohort lanes' continuations (the adaptive policy never packs).
     fork: Option<(CsmKey, usize)>,
 }
 
@@ -168,8 +167,8 @@ impl Task {
     }
 }
 
-/// Up to 64 sibling paths from one fork, simulated together in cohort
-/// eval mode. Lane `l` is path `first + l` taking branch combination
+/// Up to 64 sibling paths from one fork, simulated together in the lane
+/// dimension. Lane `l` is path `first + l` taking branch combination
 /// `base_combo + l` over `signals`.
 #[derive(Debug)]
 struct CohortTask {
@@ -178,10 +177,6 @@ struct CohortTask {
     n: usize,
     state: SimState,
     signals: Vec<NetId>,
-    /// Fork provenance for the dequeue-time pre-split subsumption screen,
-    /// as in [`Task::fork`]; `None` once the member lanes have been
-    /// screened (re-packed survivor runs).
-    fork: Option<(CsmKey, usize)>,
 }
 
 /// A quiescent `$monitor_x` halt state awaiting its CSM observation —
@@ -196,8 +191,8 @@ struct ObserveTask {
     cycles: u64,
 }
 
-/// A schedulable work item. Event/batch/hybrid modes only ever queue
-/// `Seg`; cohort mode adds cohort simulation items and deferred CSM
+/// A schedulable work item. Event mode only ever queues `Seg`; every
+/// other mode adds cohort simulation items and deferred CSM
 /// observations. With one worker the LIFO pop order over these items
 /// reproduces event mode's depth-first CSM observation sequence exactly
 /// (cohort items push their per-lane continuations in ascending lane
@@ -530,10 +525,10 @@ impl<'n> CoAnalysis<'n> {
                     );
                 }
                 Work::Cohort(task) => {
-                    self.run_cohort(worker, sim, task, queue, csm, registry, prov);
+                    self.run_cohort(worker, sim, task, wait_us, queue, registry, prov);
                 }
                 Work::Observe(task) => {
-                    self.run_observe(worker, task, queue, csm, created, registry, prov);
+                    self.run_observe(worker, task, wait_us, queue, csm, created, registry, prov);
                 }
             }
             queue.task_done(weight);
@@ -799,101 +794,15 @@ impl<'n> CoAnalysis<'n> {
         worker: usize,
         sim: &mut Simulator<'_>,
         task: CohortTask,
+        wait_us: u64,
         queue: &WorkQueue<Work>,
-        csm: &Mutex<ConservativeStateManager>,
         registry: &Arc<MetricsRegistry>,
         prov: Option<&Mutex<Collector>>,
     ) {
         let _span = trace::span("cohort");
         let tr = self.config.trace.as_deref();
         let shard = registry.shard(worker);
-        let forces_of = |lane: usize| -> Vec<(NetId, Value)> {
-            let combo = task.base_combo + lane;
-            task.signals
-                .iter()
-                .enumerate()
-                .map(|(j, &net)| (net, Value::from_bool(combo >> j & 1 == 1)))
-                .collect()
-        };
-        // dequeue-time pre-split subsumption, lane by lane (the cohort
-        // analogue of the screen at the top of `run_segment`): when any
-        // lane is killed, the survivors are re-queued as maximal
-        // contiguous lane runs with the check spent (`fork: None`) so the
-        // bit-plane pass only carries lanes that still matter
-        if let Some((key, born_seq)) = &task.fork {
-            if matches!(self.config.policy, CsmPolicy::Adaptive { .. }) {
-                let survivors: Vec<usize> = {
-                    let guard = csm.lock().unwrap();
-                    let mut probe = task.state.clone();
-                    (0..task.n)
-                        .filter(|&l| {
-                            let combo = task.base_combo + l;
-                            for (j, &net) in task.signals.iter().enumerate() {
-                                probe.values[net.0 as usize] =
-                                    Value::from_bool(combo >> j & 1 == 1);
-                            }
-                            !guard.covered_presplit(key, &probe, *born_seq)
-                        })
-                        .collect()
-                };
-                let killed = task.n - survivors.len();
-                if killed > 0 {
-                    shard.add(CounterId::PathsKilledPresplit, killed as u64);
-                    debug!(
-                        "path.presplit_kill",
-                        { worker = worker, killed = killed, members = task.n },
-                        "cohort lanes covered by a later-formed conservative state"
-                    );
-                    if let Some(t) = tr {
-                        let pc_label = key.to_string();
-                        let mut alive = vec![false; task.n];
-                        for &l in &survivors {
-                            alive[l] = true;
-                        }
-                        for (l, alive) in alive.iter().enumerate() {
-                            if !alive {
-                                t.emit(worker as i64, "csm", |o| {
-                                    o.u64("path", task.first + l as u64)
-                                        .str("pc", &pc_label)
-                                        .str("kind", "kill")
-                                        .u64("dur_us", 0);
-                                });
-                            }
-                        }
-                    }
-                    let mut items: Vec<Work> = Vec::new();
-                    let mut idx = 0usize;
-                    while idx < survivors.len() {
-                        let mut len = 1usize;
-                        while idx + len < survivors.len()
-                            && survivors[idx + len] == survivors[idx] + len
-                        {
-                            len += 1;
-                        }
-                        if len >= 2 {
-                            items.push(Work::Cohort(CohortTask {
-                                first: task.first + survivors[idx] as u64,
-                                base_combo: task.base_combo + survivors[idx],
-                                n: len,
-                                state: task.state.clone(),
-                                signals: task.signals.clone(),
-                                fork: None,
-                            }));
-                        } else {
-                            let l = survivors[idx];
-                            items.push(Work::Seg(Task::fresh(
-                                task.first + l as u64,
-                                task.state.clone(),
-                                forces_of(l),
-                            )));
-                        }
-                        idx += len;
-                    }
-                    queue.push_local(worker, items);
-                    return;
-                }
-            }
-        }
+        let pack_t0 = tr.map(|_| Instant::now());
         let Some(mut cohort) = sim.cohort_pack(&task.state, task.n) else {
             debug!(
                 "cohort.fallback",
@@ -906,7 +815,7 @@ impl<'n> CoAnalysis<'n> {
                     Work::Seg(Task::fresh(
                         task.first + l as u64,
                         task.state.clone(),
-                        forces_of(l),
+                        combo_forces(&task.signals, task.base_combo + l),
                     ))
                 }),
             );
@@ -919,15 +828,10 @@ impl<'n> CoAnalysis<'n> {
         shard.add(CounterId::PathsCreated, task.n as u64);
         shard.observe(HistogramId::CohortLaneOccupancy, task.n as u64);
         if let Some(t) = tr {
-            let members: Vec<u64> = (0..task.n).map(|l| task.first + l as u64).collect();
-            t.emit(worker as i64, "cohort", |o| {
-                o.u64("first", task.first)
-                    .u64("n", task.n as u64)
-                    .u64_array("members", &members);
-            });
-            for &id in &members {
+            for l in 0..task.n {
                 t.emit(worker as i64, "path_start", |o| {
-                    o.u64("path", id).u64("cycle", task.state.cycle);
+                    o.u64("path", task.first + l as u64)
+                        .u64("cycle", task.state.cycle);
                 });
             }
         }
@@ -941,13 +845,23 @@ impl<'n> CoAnalysis<'n> {
             }
             sim.cohort_force(&mut cohort, net, lanes);
         }
+        let pack_us = elapsed_us(pack_t0);
+        let run_t0 = tr.map(|_| Instant::now());
         sim.cohort_run(&mut cohort, self.config.max_cycles_per_segment);
+        let run_us = elapsed_us(run_t0);
         debug!(
             "cohort.done",
             { worker = worker, members = task.n },
             "cohort settled all member lanes"
         );
         let mut continuations: Vec<Work> = Vec::new();
+        let mut unpack_us = 0u64;
+        let mut unpack = |l: usize| {
+            let t0 = tr.map(|_| Instant::now());
+            let state = sim.cohort_unpack(&cohort, l);
+            unpack_us += elapsed_us(t0);
+            state
+        };
         for l in 0..task.n {
             let id = task.first + l as u64;
             let lane_cycles = cohort.lane_cycles(l);
@@ -971,12 +885,11 @@ impl<'n> CoAnalysis<'n> {
                     close(PathOutcome::Budget, CounterId::PathsBudgetExhausted);
                 }
                 CohortLaneEnd::MonitorX => {
-                    shard.inc(CounterId::PathsSimulated);
-                    shard.add(CounterId::Cycles, lane_cycles);
-                    shard.observe(HistogramId::SegmentCycles, lane_cycles);
+                    // counted where the path ends: by the worker that
+                    // resolves the observation
                     continuations.push(Work::Observe(ObserveTask {
                         id,
-                        state: sim.cohort_unpack(&cohort, l),
+                        state: unpack(l),
                         cycles: lane_cycles,
                     }));
                 }
@@ -987,7 +900,7 @@ impl<'n> CoAnalysis<'n> {
                     let total = 1 + self.config.max_cycles_per_segment;
                     continuations.push(Work::Seg(Task {
                         id,
-                        state: sim.cohort_unpack(&cohort, l),
+                        state: unpack(l),
                         forces: Vec::new(),
                         budget: Some(total.saturating_sub(lane_cycles)),
                         carried: lane_cycles,
@@ -1018,6 +931,23 @@ impl<'n> CoAnalysis<'n> {
                 .unwrap()
                 .submit(&obs, task.n as u64, closed_cycles, worker as i64, tr);
         }
+        if let Some(t) = tr {
+            // a cohort's phases are the scalar segment's under other names:
+            // pack restores, the run settles, unpack saves
+            shard.observe(HistogramId::PhaseRestoreUs, pack_us);
+            shard.observe(HistogramId::PhaseSettleUs, run_us);
+            shard.observe(HistogramId::PhaseSaveUs, unpack_us);
+            let members: Vec<u64> = (0..task.n).map(|l| task.first + l as u64).collect();
+            t.emit(worker as i64, "cohort", |o| {
+                o.u64("first", task.first)
+                    .u64("n", task.n as u64)
+                    .u64_array("members", &members)
+                    .u64("pack_us", pack_us)
+                    .u64("run_us", run_us)
+                    .u64("unpack_us", unpack_us)
+                    .u64("wait_us", wait_us);
+            });
+        }
         queue.push_local(worker, continuations);
     }
 
@@ -1030,6 +960,7 @@ impl<'n> CoAnalysis<'n> {
         &self,
         worker: usize,
         task: ObserveTask,
+        wait_us: u64,
         queue: &WorkQueue<Work>,
         csm: &Mutex<ConservativeStateManager>,
         created: &AtomicUsize,
@@ -1038,6 +969,9 @@ impl<'n> CoAnalysis<'n> {
     ) {
         let tr = self.config.trace.as_deref();
         let shard = registry.shard(worker);
+        shard.inc(CounterId::PathsSimulated);
+        shard.add(CounterId::Cycles, task.cycles);
+        shard.observe(HistogramId::SegmentCycles, task.cycles);
         let pc: Word = self
             .iface
             .pc
@@ -1047,6 +981,7 @@ impl<'n> CoAnalysis<'n> {
         let key = pc_key(&pc);
         let pc_label = tr.map(|_| key.to_string());
         let csm_t0 = tr.map(|_| Instant::now());
+        let seg_t0 = csm_t0;
         let (observation, demotion, born_seq) = {
             let mut guard = csm.lock().unwrap();
             let obs = guard.observe_key(key.clone(), &task.state);
@@ -1110,7 +1045,9 @@ impl<'n> CoAnalysis<'n> {
                     .str("outcome", outcome_name(outcome))
                     .u64("cycles", task.cycles)
                     .u64("children", children as u64)
-                    .u64("csm_us", csm_us);
+                    .u64("csm_us", csm_us)
+                    .u64("wait_us", wait_us)
+                    .u64("seg_us", elapsed_us(seg_t0));
             });
         }
     }
@@ -1122,9 +1059,9 @@ impl<'n> CoAnalysis<'n> {
     /// number (`born_seq`) so the dequeue-time pre-split subsumption screen
     /// can kill it if a conservative state formed after this fork covers
     /// its start state (`paths_killed_presplit`) — the halt-time cover
-    /// check would only catch that one full segment later. In cohort eval
-    /// mode, siblings are packed into cohort work items (up to 64 lanes
-    /// each) instead of individual segments.
+    /// check would only catch that one full segment later. Two or more
+    /// siblings are packed into cohort work items (up to 64 lanes each)
+    /// instead of individual segments, except in event mode.
     #[allow(clippy::too_many_arguments)]
     fn spawn_children(
         &self,
@@ -1224,10 +1161,17 @@ impl<'n> CoAnalysis<'n> {
             });
         }
         let fork = (key.clone(), born_seq);
-        let cohort_ok = self.config.sim.eval_mode == EvalMode::Cohort
-            && granted >= 2
-            && self.config.activity_weights.is_none();
-        if cohort_ok {
+        // siblings differ in a few forced bits, so they settle together in
+        // the lane dimension, and a cohort the simulator cannot pack
+        // exactly falls back to scalar segments at dequeue (`run_cohort`).
+        // Two configurations keep their siblings scalar: event mode (the
+        // differential oracle), and the adaptive policy, whose pre-split
+        // kills need a sibling's subtree to finish before the next sibling
+        // dequeues — packed siblings all start at once
+        let pack = self.config.sim.eval_mode != EvalMode::Event
+            && !matches!(self.config.policy, CsmPolicy::Adaptive { .. })
+            && granted >= 2;
+        if pack {
             // chunk the children into 64-lane cohorts (lane `l` of a chunk
             // is combo `base_combo + l`), chunks in ascending combo order:
             // LIFO pops the highest chunk (then the highest lane) first,
@@ -1244,18 +1188,12 @@ impl<'n> CoAnalysis<'n> {
                         // cheap: copy-on-write pages, only dirty pages split
                         state: cons.clone(),
                         signals: xs.clone(),
-                        fork: Some(fork.clone()),
                     }));
                 } else {
-                    let forces = xs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &net)| (net, Value::from_bool(idx >> i & 1 == 1)))
-                        .collect();
                     items.push(Work::Seg(Task::forked(
                         (first + idx) as u64,
                         cons.clone(),
-                        forces,
+                        combo_forces(&xs, idx),
                         fork.clone(),
                     )));
                 }
@@ -1266,16 +1204,11 @@ impl<'n> CoAnalysis<'n> {
             queue.push_local(
                 worker,
                 (0..granted).map(|i| {
-                    let forces = xs
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &net)| (net, Value::from_bool(i >> j & 1 == 1)))
-                        .collect();
                     // cheap: copy-on-write pages, only dirty pages ever split
                     Work::Seg(Task::forked(
                         (first + i) as u64,
                         cons.clone(),
-                        forces,
+                        combo_forces(&xs, i),
                         fork.clone(),
                     ))
                 }),
@@ -1283,6 +1216,16 @@ impl<'n> CoAnalysis<'n> {
         }
         granted
     }
+}
+
+/// The forces steering a child down branch combination `combo`: bit `j` of
+/// the combo is the value forced on `signals[j]`.
+fn combo_forces(signals: &[NetId], combo: usize) -> Vec<(NetId, Value)> {
+    signals
+        .iter()
+        .enumerate()
+        .map(|(j, &net)| (net, Value::from_bool(combo >> j & 1 == 1)))
+        .collect()
 }
 
 /// Microseconds since `t0`, or 0 when phase timing is off.
@@ -1320,6 +1263,12 @@ mod tests {
     /// A miniature "processor": 3-bit PC counting up; at PC==2 a branch on
     /// an X input either jumps back to 0 or continues; finish at PC==5.
     fn branchy_design() -> (Netlist, DesignInterface) {
+        branchy_design_with(false)
+    }
+
+    /// [`branchy_design`], optionally with an 8 x 3 data memory written and
+    /// read at the PC every cycle.
+    fn branchy_design_with(memory: bool) -> (Netlist, DesignInterface) {
         let mut b = RtlBuilder::new("branchy");
         let cond_in = b.input("cond_in", 1);
         let pc = b.reg("pc", 3, 0);
@@ -1336,6 +1285,13 @@ mod tests {
         let taken = b.name_net("taken", taken_raw);
         let next = b.mux(taken, &next_seq, &target);
         b.drive_reg(pc, &next);
+        if memory {
+            let m = b.memory("dmem", 8, 3);
+            let one = b.one();
+            b.mem_write(m, &pcq, &pcq, one);
+            let rd = b.mem_read(m, &pcq);
+            b.output("rd", &rd);
+        }
         let five = b.const_word(5, 3);
         let done_raw = b.eq(&pcq, &five);
         let done = b.name_net("done", done_raw);
@@ -1412,7 +1368,7 @@ mod tests {
     }
 
     #[test]
-    fn cohort_mode_matches_event_mode_exactly() {
+    fn packed_siblings_match_event_mode_exactly() {
         let (nl, iface) = branchy_design();
         let cond = nl.find_net("cond_in").unwrap();
         let run = |mode: EvalMode| {
@@ -1431,7 +1387,7 @@ mod tests {
             (report, registry)
         };
         let (event, _) = run(EvalMode::Event);
-        let (cohort, reg) = run(EvalMode::Cohort);
+        let (cohort, reg) = run(EvalMode::default());
         assert_eq!(event.paths_created, cohort.paths_created);
         assert_eq!(event.paths_skipped, cohort.paths_skipped);
         assert_eq!(event.paths_finished, cohort.paths_finished);
@@ -1458,6 +1414,56 @@ mod tests {
         assert_eq!(
             es.histograms[HistogramId::SplitFanout as usize],
             cs.histograms[HistogramId::SplitFanout as usize]
+        );
+    }
+
+    /// Regression: `cohort_pack` only debug-asserted that the base
+    /// *memories* are Z/symbol-free, so a release build packed such a state
+    /// and the planes silently folded the symbol. A symbol planted in data
+    /// memory (anonymous policy) must fall back to scalar segments and
+    /// reproduce event mode exactly.
+    #[test]
+    fn symbol_in_data_memory_falls_back_to_scalar_segments() {
+        let (nl, iface) = branchy_design_with(true);
+        let cond = nl.find_net("cond_in").unwrap();
+        let run = |mode: EvalMode, plant: bool| {
+            let config = CoAnalysisConfig {
+                sim: SimConfig {
+                    eval_mode: mode,
+                    ..SimConfig::default()
+                },
+                ..CoAnalysisConfig::default()
+            };
+            CoAnalysis::new(&nl, iface.clone(), config)
+                .unwrap()
+                .run(|sim| {
+                    sim.poke(cond, Value::X);
+                    if plant {
+                        // read on the fall-through path, after the fork
+                        sim.write_mem_word(0, 4, &Word::symbols(7, 3));
+                    }
+                })
+        };
+        let event = run(EvalMode::Event, true);
+        let packed = run(EvalMode::default(), true);
+        assert_eq!(event.paths_created, packed.paths_created);
+        assert_eq!(event.paths_skipped, packed.paths_skipped);
+        assert_eq!(event.paths_finished, packed.paths_finished);
+        assert_eq!(event.simulated_cycles, packed.simulated_cycles);
+        assert_eq!(event.exercisable_gates, packed.exercisable_gates);
+        assert_eq!(event.verdict_digest, packed.verdict_digest);
+        assert_eq!(event.profile, packed.profile);
+        assert_eq!(
+            packed.metrics.counter("cohorts_formed"),
+            0,
+            "a symbol-carrying memory must not be packed"
+        );
+        // the fallback is what kept it scalar: without the symbol it packs
+        assert!(
+            run(EvalMode::default(), false)
+                .metrics
+                .counter("cohorts_formed")
+                > 0
         );
     }
 

@@ -95,7 +95,12 @@ impl Lanes {
     #[inline]
     #[must_use]
     pub fn merge_masked(self, new: Lanes, mask: u64) -> Lanes {
-        Lanes::select(mask, new, self)
+        // `select(mask, new, self)` spelled over the difference planes a
+        // caller has usually just computed for `diff_mask`
+        Lanes {
+            val: self.val ^ ((self.val ^ new.val) & mask),
+            unk: self.unk ^ ((self.unk ^ new.unk) & mask),
+        }
     }
 
     /// Lanes whose value differs between `self` and `other` (either plane).

@@ -436,15 +436,22 @@ pub enum TraceRecord {
         signals: Vec<u64>,
     },
     /// Sibling paths `members` (ids `first..first+n`) were packed into one
-    /// lane cohort and simulated together in a single bit-plane pass
-    /// (cohort eval mode). Per-path `path_start`/`path_end` records still
-    /// bracket each member's trajectory.
+    /// lane cohort and simulated together in a single bit-plane pass,
+    /// emitted when the pass ends. Per-path `path_start`/`path_end` records
+    /// still bracket each member's trajectory, but the cohort's time lives
+    /// here: `pack_us` (broadcast + forces), `run_us` (the lane sweep),
+    /// `unpack_us` (per-lane snapshots), and the scheduler `wait_us` before
+    /// the cohort was claimed.
     Cohort {
         ts_us: u64,
         w: i64,
         first: u64,
         n: u64,
         members: Vec<u64>,
+        pack_us: u64,
+        run_us: u64,
+        unpack_us: u64,
+        wait_us: u64,
     },
     /// A CSM decision for path `path` halting at `pc`.
     Csm {
@@ -588,6 +595,10 @@ impl TraceRecord {
                     first: req_u64(&v, "first", &ev)?,
                     n: req_u64(&v, "n", &ev)?,
                     members,
+                    pack_us: opt_u64(&v, "pack_us"),
+                    run_us: opt_u64(&v, "run_us"),
+                    unpack_us: opt_u64(&v, "unpack_us"),
+                    wait_us: opt_u64(&v, "wait_us"),
                 })
             }
             "csm" => Ok(TraceRecord::Csm {
@@ -954,9 +965,10 @@ impl Trace {
         sites
     }
 
-    /// Total µs per phase over every `path_end` (plus CSM record
-    /// durations split by kind), descending. `settle` is a subset of
-    /// `exec`; `batch_eval`/`event_eval` are subsets of `settle`.
+    /// Total µs per phase over every `path_end` and `cohort` record,
+    /// descending. `settle` is a subset of `exec`; `batch_eval`/
+    /// `event_eval` are subsets of `settle`. A cohort's pack counts as
+    /// restore, its run as exec and settle, its unpack as save.
     pub fn phase_table(&self) -> Vec<(&'static str, u64)> {
         let mut exec = 0u64;
         let mut restore = 0u64;
@@ -967,15 +979,31 @@ impl Trace {
         let mut event = 0u64;
         let mut wait = 0u64;
         for r in &self.records {
-            if let TraceRecord::PathEnd { phases, .. } = r {
-                exec += phases.exec_us;
-                restore += phases.restore_us;
-                save += phases.save_us;
-                csm += phases.csm_us;
-                settle += phases.settle_us;
-                batch += phases.batch_us;
-                event += phases.event_us;
-                wait += phases.wait_us;
+            match r {
+                TraceRecord::PathEnd { phases, .. } => {
+                    exec += phases.exec_us;
+                    restore += phases.restore_us;
+                    save += phases.save_us;
+                    csm += phases.csm_us;
+                    settle += phases.settle_us;
+                    batch += phases.batch_us;
+                    event += phases.event_us;
+                    wait += phases.wait_us;
+                }
+                TraceRecord::Cohort {
+                    pack_us,
+                    run_us,
+                    unpack_us,
+                    wait_us,
+                    ..
+                } => {
+                    restore += pack_us;
+                    exec += run_us;
+                    settle += run_us;
+                    save += unpack_us;
+                    wait += wait_us;
+                }
+                _ => {}
             }
         }
         let mut table = vec![
@@ -1040,22 +1068,51 @@ impl Trace {
             .collect()
     }
 
-    /// Per-worker segments/cycles/busy/wait, ascending worker index.
+    /// Busy plus scheduler-wait µs over every `path_end` and `cohort`
+    /// record: what the workers' time was attributed to. At one worker this
+    /// approaches the analysis wall time minus simulator construction.
+    pub fn attributed_us(&self) -> u64 {
+        self.worker_stats()
+            .iter()
+            .map(|s| s.busy_us + s.wait_us)
+            .sum()
+    }
+
+    /// Per-worker segments/cycles/busy/wait, ascending worker index. A
+    /// cohort's pack + run + unpack is busy time of the worker that ran it;
+    /// its member lanes' `path_end` records carry the segments and cycles.
     pub fn worker_stats(&self) -> Vec<WorkerStat> {
         let mut by_w: HashMap<i64, WorkerStat> = HashMap::new();
+        fn stat(by_w: &mut HashMap<i64, WorkerStat>, w: i64) -> &mut WorkerStat {
+            by_w.entry(w).or_insert(WorkerStat {
+                worker: w,
+                ..WorkerStat::default()
+            })
+        }
         for r in &self.records {
-            if let TraceRecord::PathEnd {
-                w, cycles, phases, ..
-            } = r
-            {
-                let s = by_w.entry(*w).or_insert(WorkerStat {
-                    worker: *w,
-                    ..WorkerStat::default()
-                });
-                s.segments += 1;
-                s.cycles += *cycles;
-                s.busy_us += phases.seg_us;
-                s.wait_us += phases.wait_us;
+            match r {
+                TraceRecord::PathEnd {
+                    w, cycles, phases, ..
+                } => {
+                    let s = stat(&mut by_w, *w);
+                    s.segments += 1;
+                    s.cycles += *cycles;
+                    s.busy_us += phases.seg_us;
+                    s.wait_us += phases.wait_us;
+                }
+                TraceRecord::Cohort {
+                    w,
+                    pack_us,
+                    run_us,
+                    unpack_us,
+                    wait_us,
+                    ..
+                } => {
+                    let s = stat(&mut by_w, *w);
+                    s.busy_us += pack_us + run_us + unpack_us;
+                    s.wait_us += wait_us;
+                }
+                _ => {}
             }
         }
         let mut stats: Vec<WorkerStat> = by_w.into_values().collect();

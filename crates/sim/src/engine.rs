@@ -1,5 +1,5 @@
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use symsim_compile::CompiledKernel;
 use symsim_logic::{ops, plane, plane::Lanes, PropagationPolicy, Value, Word};
@@ -14,6 +14,11 @@ mod cohort;
 pub use cohort::{CohortLaneEnd, PathCohort};
 
 /// How the Active region propagates values (see [`Simulator::settle`]).
+///
+/// The mode governs *scalar* settles only. Sibling paths forked from one
+/// snapshot are settled together as a [`PathCohort`] whatever the mode —
+/// the explorer packs them in every mode except [`EvalMode::Event`], which
+/// stays purely scalar as the differential oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvalMode {
     /// Pure event-driven: only dirty nodes are evaluated, one at a time.
@@ -26,12 +31,6 @@ pub enum EvalMode {
     /// packed, sparse ripples stay event-driven).
     #[default]
     Hybrid,
-    /// Path-cohort evaluation: the explorer packs up to 64 sibling paths
-    /// forked from one snapshot into the lane dimension and settles them
-    /// together (see [`PathCohort`]). Scalar segments (the root path, and
-    /// any lane spilled out of a cohort) run exactly like [`EvalMode::
-    /// Hybrid`]; reports stay bit-identical to event mode.
-    Cohort,
     /// Compiled native evaluation: a `symsim-compile` kernel generated
     /// from this design settles the whole netlist in straight-line code
     /// over net-indexed bit planes (see
@@ -49,7 +48,6 @@ impl EvalMode {
             EvalMode::Event => "event",
             EvalMode::Batch => "batch",
             EvalMode::Hybrid => "hybrid",
-            EvalMode::Cohort => "cohort",
             EvalMode::Compiled => "compiled",
         }
     }
@@ -63,10 +61,9 @@ impl std::str::FromStr for EvalMode {
             "event" => Ok(EvalMode::Event),
             "batch" => Ok(EvalMode::Batch),
             "hybrid" => Ok(EvalMode::Hybrid),
-            "cohort" => Ok(EvalMode::Cohort),
             "compiled" => Ok(EvalMode::Compiled),
             other => Err(format!(
-                "expected event, batch, hybrid, cohort, or compiled, got \"{other}\""
+                "expected event, batch, hybrid, or compiled, got \"{other}\""
             )),
         }
     }
@@ -286,10 +283,11 @@ pub const DIRTY_PCT_BUCKETS: usize = 11;
 /// exploration (see [`Simulator::engine_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Level tapes run by the batched kernel.
+    /// Level tapes run: one per level dispatched to the batched kernel in
+    /// a scalar settle, and one per level swept by a cohort settle.
     pub batched_level_evals: u64,
     /// Scalar node evaluations (event-driven gates, memory reads, and
-    /// symbolic-lane fallbacks).
+    /// symbolic-lane fallbacks) plus cohort memory-read port resolutions.
     pub event_evals: u64,
     /// Evaluation writes overridden by an active force (path steering).
     pub forced_writes: u64,
@@ -339,6 +337,9 @@ pub struct Simulator<'n> {
     // fanout class the batched write-back must still schedule explicitly
     memread_fanout_start: Vec<u32>,
     memread_fanout_list: Vec<u32>,
+    // the levelized op tape cohort sweeps run, compiled at the first
+    // `cohort_pack` (a simulator that never packs never pays for it)
+    lane_tape: OnceLock<Arc<cohort::LaneTape>>,
     // net -> batch operand bits mirroring it (see `PackedSub`), flattened
     // CSR like `fanout_*`; only maintained when `maintain_packed` (batch
     // dispatch is possible)
@@ -571,6 +572,7 @@ impl<'n> Simulator<'n> {
             fanout_list,
             memread_fanout_start,
             memread_fanout_list,
+            lane_tape: OnceLock::new(),
             driver_node,
             mem_readers,
             dff_pairs,
@@ -1772,20 +1774,9 @@ impl<'n> Simulator<'n> {
         let mem = &self.mems[mem_index];
         match enumerate_addresses(addr, mem.depth(), self.config.max_addr_enum_bits) {
             AddrSet::None => Word::xs(mem.width()),
-            AddrSet::Some(addrs) => {
-                let mut it = addrs.into_iter();
-                let first = it.next();
-                match first {
-                    None => Word::xs(mem.width()),
-                    Some(a0) => {
-                        let mut acc = mem.word(a0);
-                        for a in it {
-                            acc = acc.merge(&mem.word(a));
-                        }
-                        acc
-                    }
-                }
-            }
+            AddrSet::Some(addrs) => mem
+                .merge_words(addrs)
+                .unwrap_or_else(|| Word::xs(mem.width())),
             AddrSet::All => self.mem_all_merge(mem_index),
         }
     }
@@ -1796,10 +1787,9 @@ impl<'n> Simulator<'n> {
             return w.clone();
         }
         let mem = &self.mems[mem_index];
-        let mut acc = mem.word(0);
-        for a in 1..mem.depth() {
-            acc = acc.merge(&mem.word(a));
-        }
+        let acc = mem
+            .merge_words(0..mem.depth())
+            .expect("memories are not empty");
         self.mem_all_merge[mem_index] = Some(acc.clone());
         acc
     }

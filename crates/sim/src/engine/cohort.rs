@@ -6,11 +6,11 @@
 //! every bit of state except the handful of forced control signals, so a
 //! [`PathCohort`] broadcasts the fork snapshot into per-net planes, forces
 //! each member's branch combo into its own lane, and settles all members
-//! with one event-driven pass per node. Per-lane live masks gate every
-//! writeback, so a lane that halts (`$monitor_x`), finishes, spills, or
-//! exhausts the segment budget freezes exactly at its halt state while its
-//! siblings keep running — [`Lanes::merge_masked`] is the invariant that
-//! makes the frozen state unpackable bit-exactly later.
+//! with one levelized sweep over a flat op tape ([`LaneTape`]). Per-lane
+//! live masks gate every writeback, so a lane that halts (`$monitor_x`),
+//! finishes, spills, or exhausts the segment budget freezes exactly at its
+//! halt state while its siblings keep running — [`Lanes::merge_masked`] is
+//! the invariant that makes the frozen state unpackable bit-exactly later.
 //!
 //! # Exactness contract
 //!
@@ -18,15 +18,19 @@
 //! through the scalar segment protocol (`force* → settle → step_cycle →
 //! release_all → run(budget)`):
 //!
-//! - Gate evaluation is levelized event-driven, so each node is evaluated
-//!   at most once per settle with final inputs — no glitches, and the
-//!   plane gate functions agree with the scalar `ops` lane-for-lane on
-//!   `Logic` values (the `plane_props` differential tests).
+//! - A settle sweeps the tape level-ascending, so each node is evaluated
+//!   at most once with final inputs — no glitches, and the plane gate
+//!   functions agree with the scalar `ops` lane-for-lane on `Logic` values
+//!   (the `plane_props` differential tests). Re-evaluating a node whose
+//!   inputs did not move reproduces its output, so sweeping whole levels
+//!   where the scalar engine evaluates single events changes no value.
 //! - Memory reads and write commits are resolved *per lane* against the
 //!   lane's own copy-on-write [`MemArray`]s with the same conservative
 //!   address-enumeration semantics as the scalar engine.
-//! - Toggle marking is change-driven in both engines, so the union of the
-//!   member lanes' marks equals the union of the equivalent scalar runs.
+//! - Toggle marking is change-driven in both engines (the write-back only
+//!   acts on `diff_mask & live`), so the union of the member lanes' marks
+//!   equals the union of the equivalent scalar runs, whatever order the
+//!   nodes of one level are visited in.
 //!
 //! To keep the contract simple the planes must stay *exact*, which rules
 //! out values they fold ([`Value::Z`], tagged symbols): [`Simulator::
@@ -35,6 +39,14 @@
 //! can appear mid-run either — gates never produce them from `Logic`
 //! inputs, forces are concrete, and memory merges of `Logic` values stay
 //! `Logic` — so the fold in [`Lanes::set`] is the identity throughout.
+//!
+//! # Gating
+//!
+//! A sweep starts at the lowest level read by a net that changed since the
+//! last one ([`PathCohort::pending_level`]) and runs to the top; with
+//! nothing pending a settle returns at once. A memory read port is
+//! re-resolved only for the lanes whose address nets or own memory changed
+//! ([`PathCohort::read_pending`]).
 //!
 //! # Divergence and spilling
 //!
@@ -49,11 +61,126 @@
 //! budget, so the spilled path's trajectory (and even its budget horizon)
 //! is still bit-identical to event mode.
 
-use symsim_logic::{plane::Lanes, PropagationPolicy, Value, Word};
-use symsim_netlist::{CombNode, NetId};
+use std::sync::Arc;
+
+use symsim_logic::{plane, plane::Lanes, PropagationPolicy, Value, Word};
+use symsim_netlist::{CellKind, CombNode, NetId};
 
 use super::{enumerate_addresses, AddrSet, Simulator};
-use crate::state::{MemArray, SimState};
+use crate::state::{plane_inexact, MemArray, SimState};
+
+/// [`LaneTape::net_level`] of a net no comb node reads, and
+/// [`PathCohort::pending_level`] when nothing is pending.
+const NO_LEVEL: u32 = u32::MAX;
+
+/// One gate of the tape: everything an evaluation needs in 20 contiguous
+/// bytes, so a sweep never touches the netlist. Unused pins are 0.
+#[derive(Debug, Clone, Copy)]
+struct TapeOp {
+    kind: CellKind,
+    /// `out` is an address net of some read port (rare): a change must
+    /// wake that port, the one thing a mid-sweep write has to schedule.
+    wakes_read: bool,
+    out: u32,
+    in0: u32,
+    in1: u32,
+    in2: u32,
+}
+
+/// One memory read port of the tape.
+#[derive(Debug, Clone, Copy)]
+struct TapeRead {
+    mem: u32,
+    port: u32,
+}
+
+/// The levelized netlist as a flat program, compiled once per
+/// [`Simulator`] at its first [`Simulator::cohort_pack`]: gates level-major
+/// (kind-sorted within a level, so the dispatch branch predicts), read
+/// ports level-major beside them, and the gating index.
+#[derive(Debug)]
+pub(super) struct LaneTape {
+    ops: Vec<TapeOp>,
+    /// Level `l`'s gates are `ops[level_ops[l]..level_ops[l + 1]]`.
+    level_ops: Vec<u32>,
+    reads: Vec<TapeRead>,
+    /// Level `l`'s read ports are `reads[level_reads[l]..level_reads[l + 1]]`.
+    level_reads: Vec<u32>,
+    /// Net -> lowest level of any node reading it ([`NO_LEVEL`] if none):
+    /// where a sweep must start once the net has changed.
+    net_level: Vec<u32>,
+    /// Comb-node index -> index into `reads` (the `memread_fanout_*` and
+    /// `mem_readers` tables speak node indices); `u32::MAX` for gates.
+    read_of_node: Vec<u32>,
+}
+
+impl LaneTape {
+    fn compile(sim: &Simulator<'_>) -> LaneTape {
+        let levels = sim.max_level as usize + 1;
+        let mut gates: Vec<(u32, TapeOp)> = Vec::new();
+        let mut reads: Vec<(u32, u32, TapeRead)> = Vec::new();
+        let mut net_level = vec![NO_LEVEL; sim.values.len()];
+        let mut feed = |net: NetId, lvl: u32| {
+            let l = &mut net_level[net.0 as usize];
+            *l = (*l).min(lvl);
+        };
+        for (i, &node) in sim.nodes.iter().enumerate() {
+            let lvl = sim.level[i];
+            match node {
+                CombNode::Gate(g) => {
+                    let gate = sim.netlist.gate(g);
+                    gate.inputs.iter().for_each(|&n| feed(n, lvl));
+                    let pin = |k: usize| gate.inputs.get(k).map_or(0, |n| n.0);
+                    gates.push((
+                        lvl,
+                        TapeOp {
+                            kind: gate.kind,
+                            wakes_read: sim.memread_fanout_start[gate.output.0 as usize]
+                                != sim.memread_fanout_start[gate.output.0 as usize + 1],
+                            out: gate.output.0,
+                            in0: pin(0),
+                            in1: pin(1),
+                            in2: pin(2),
+                        },
+                    ));
+                }
+                CombNode::MemRead { mem, port } => {
+                    let rp = &sim.netlist.memories()[mem.0 as usize].read_ports[port];
+                    rp.addr.iter().for_each(|&n| feed(n, lvl));
+                    let port = port as u32;
+                    reads.push((lvl, i as u32, TapeRead { mem: mem.0, port }));
+                }
+            }
+        }
+        gates.sort_by_key(|&(lvl, op)| (lvl, op.kind));
+        reads.sort_by_key(|&(lvl, node, _)| (lvl, node));
+        let mut read_of_node = vec![u32::MAX; sim.nodes.len()];
+        for (r, &(_, node, _)) in reads.iter().enumerate() {
+            read_of_node[node as usize] = r as u32;
+        }
+        LaneTape {
+            level_ops: level_starts(levels, gates.iter().map(|g| g.0)),
+            ops: gates.into_iter().map(|g| g.1).collect(),
+            level_reads: level_starts(levels, reads.iter().map(|r| r.0)),
+            reads: reads.into_iter().map(|r| r.2).collect(),
+            net_level,
+            read_of_node,
+        }
+    }
+}
+
+/// CSR offsets over a level-sorted list: level `l`'s entries are
+/// `start[l]..start[l + 1]`.
+fn level_starts(levels: usize, sorted: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut start = vec![0u32; levels + 1];
+    for lvl in sorted {
+        start[lvl as usize + 1] += 1;
+    }
+    for l in 0..levels {
+        start[l + 1] += start[l];
+    }
+    start
+}
 
 /// How one member lane of a finished cohort run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,9 +217,9 @@ struct WpPlanes {
 /// [`Simulator::cohort_force`], run by [`Simulator::cohort_run`], and read
 /// back per lane with [`Simulator::cohort_unpack`]. The cohort owns *all*
 /// of its mutable state — the simulator's own scalar state is never
-/// touched (except the shared toggle profile, whose marking is
-/// change-driven and therefore union-exact), so the same simulator keeps
-/// serving scalar segments between cohort runs.
+/// touched, and the toggle marks (change-driven, therefore union-exact)
+/// reach the shared profile when the run ends — so the same simulator
+/// keeps serving scalar segments between cohort runs.
 #[derive(Debug)]
 pub struct PathCohort {
     /// Member lane count (2..=64).
@@ -105,6 +232,9 @@ pub struct PathCohort {
     start_cycle: u64,
     /// One plane per net, broadcast from the fork snapshot.
     planes: Vec<Lanes>,
+    /// Nets some live lane changed; folded into the simulator's toggle
+    /// profile when the run ends (marking is a union, so late is exact).
+    toggled: Vec<bool>,
     /// Cohort-local force bitmap (per net) and force planes.
     forced: Vec<bool>,
     force_planes: std::collections::HashMap<u32, Lanes>,
@@ -112,9 +242,14 @@ pub struct PathCohort {
     lane_mems: Vec<Vec<MemArray>>,
     outcomes: Vec<CohortLaneEnd>,
     halt_cycle: Vec<u64>,
-    /// Event scheduling over the union of all lanes' dirty sets.
-    dirty: Vec<Vec<u32>>,
-    in_queue: Vec<bool>,
+    /// The simulator's compiled tape (shared, never mutated).
+    tape: Arc<LaneTape>,
+    /// Lowest level read by a net changed since the last sweep
+    /// ([`NO_LEVEL`] = quiescent).
+    pending_level: u32,
+    /// Per read port of the tape: lanes whose address or memory changed
+    /// since the port was last resolved.
+    read_pending: Vec<u64>,
     /// Per-cycle scratch, allocated once per cohort.
     dff_scratch: Vec<Lanes>,
     wp_scratch: Vec<WpPlanes>,
@@ -138,6 +273,18 @@ pub struct PathCohort {
 struct CohortAttr {
     seen: Vec<u64>,
     log: Vec<(u32, u64, u64)>,
+}
+
+impl CohortAttr {
+    /// Logs the lanes of `changed` toggling `net` for the first time.
+    #[inline]
+    fn first_toggles(&mut self, net: u32, changed: u64, cycle: u64) {
+        let new = changed & !self.seen[net as usize];
+        if new != 0 {
+            self.seen[net as usize] |= new;
+            self.log.push((net, new, cycle));
+        }
+    }
 }
 
 impl PathCohort {
@@ -197,6 +344,17 @@ impl PathCohort {
         self.live &= !mask;
     }
 
+    /// Makes the next sweep re-evaluate comb node `node` of level `level`:
+    /// a gate by reaching its level, a read port by also re-resolving
+    /// `lanes`.
+    fn wake_node(&mut self, node: u32, level: u32, lanes: u64) {
+        self.pending_level = self.pending_level.min(level);
+        let read = self.tape.read_of_node[node as usize] as usize;
+        if let Some(pending) = self.read_pending.get_mut(read) {
+            *pending |= lanes;
+        }
+    }
+
     /// Applies the pending Symbolic-region verdicts: finish beats halt
     /// beats spill, all restricted to still-live lanes.
     fn commit_lane_ends(&mut self) {
@@ -219,10 +377,12 @@ impl<'n> Simulator<'n> {
     ///
     /// Returns `None` when cohort evaluation cannot be exact: fewer than 2
     /// or more than 64 lanes, a non-[`Anonymous`](PropagationPolicy::
-    /// Anonymous) policy, a base state carrying `Z`/symbol values (the
-    /// planes fold those), an attached activity observer (whose per-cycle
-    /// weighting is per-path, not union-shaped), or per-event tracing.
-    /// The caller falls back to scalar segments in that case.
+    /// Anonymous) policy, a base state whose nets or memories carry
+    /// `Z`/symbol values (the planes fold those; memories answer from
+    /// [`MemArray::may_hold_inexact`]), an attached activity observer
+    /// (whose per-cycle weighting is per-path, not union-shaped), or
+    /// per-event tracing. The caller falls back to scalar segments in that
+    /// case.
     pub fn cohort_pack(&self, base: &SimState, n: usize) -> Option<PathCohort> {
         if !(2..=64).contains(&n)
             || self.config.policy != PropagationPolicy::Anonymous
@@ -231,12 +391,14 @@ impl<'n> Simulator<'n> {
         {
             return None;
         }
-        if base.values.iter().any(|&v| !plane_exact(v)) {
+        if base.values.iter().any(|&v| plane_inexact(v))
+            || base.mems.iter().any(MemArray::may_hold_inexact)
+        {
             return None;
         }
-        debug_assert!(
-            base.mems.iter().all(|m| m.iter_bits().all(plane_exact)),
-            "cohort base memories must be Z/symbol-free (see module docs)"
+        let tape = Arc::clone(
+            self.lane_tape
+                .get_or_init(|| Arc::new(LaneTape::compile(self))),
         );
         let planes: Vec<Lanes> = base.values.iter().map(|&v| Lanes::broadcast(v)).collect();
         let wp_scratch = self
@@ -254,13 +416,16 @@ impl<'n> Simulator<'n> {
             cycle: base.cycle,
             start_cycle: base.cycle,
             planes,
+            toggled: vec![false; base.values.len()],
             forced: vec![false; base.values.len()],
             force_planes: std::collections::HashMap::new(),
             lane_mems: vec![base.mems.clone(); n],
             outcomes: vec![CohortLaneEnd::Running; n],
             halt_cycle: vec![base.cycle; n],
-            dirty: vec![Vec::new(); self.max_level as usize + 1],
-            in_queue: vec![false; self.nodes.len()],
+            // a quiescent snapshot: nothing to sweep until something moves
+            pending_level: NO_LEVEL,
+            read_pending: vec![0; tape.reads.len()],
+            tape,
             dff_scratch: vec![Lanes::ZEROS; self.dff_pairs.len()],
             wp_scratch,
             mem_scratch: Vec::new(),
@@ -282,7 +447,7 @@ impl<'n> Simulator<'n> {
     pub fn cohort_force(&mut self, c: &mut PathCohort, net: NetId, lanes: Lanes) {
         c.forced[net.0 as usize] = true;
         c.force_planes.insert(net.0, lanes);
-        self.cohort_write(c, net.0, lanes, false);
+        self.cohort_write(c, net.0, lanes);
     }
 
     /// Runs the cohort through one forced cycle (mirroring `settle →
@@ -305,6 +470,9 @@ impl<'n> Simulator<'n> {
         }
         let budget = c.live;
         c.freeze(budget, CohortLaneEnd::Budget);
+        if let Some(p) = &mut self.profile {
+            p.mark_all(&c.toggled);
+        }
         if let Some(t) = t0 {
             self.settle_ns += t.elapsed().as_nanos() as u64;
         }
@@ -316,9 +484,7 @@ impl<'n> Simulator<'n> {
     pub fn cohort_unpack(&self, c: &PathCohort, lane: usize) -> SimState {
         assert!(lane < c.n, "lane out of range");
         SimState {
-            values: (0..c.planes.len())
-                .map(|i| c.planes[i].get(lane as u32))
-                .collect(),
+            values: c.planes.iter().map(|p| p.get(lane as u32)).collect(),
             mems: c.lane_mems[lane].clone(),
             cycle: c.halt_cycle[lane],
         }
@@ -353,12 +519,12 @@ impl<'n> Simulator<'n> {
             let v = c.dff_scratch[i];
             // like the scalar `set_value(q, v, false)`: DFF commits bypass
             // force overrides
-            self.cohort_write(c, q.0, v, false);
+            self.cohort_write(c, q.0, v);
         }
         for pi in 0..self.write_ports.len() {
             let mem_index = self.write_ports[pi].mem as usize;
             let max_bits = self.config.max_addr_enum_bits;
-            let mut any_write = false;
+            let mut wrote = 0u64;
             let mut m = c.live;
             while m != 0 {
                 let lane = m.trailing_zeros();
@@ -376,12 +542,14 @@ impl<'n> Simulator<'n> {
                     we,
                     max_bits,
                 );
-                any_write = true;
+                wrote |= 1 << lane;
             }
-            if any_write {
-                // per-node scheduling is shared across lanes: re-evaluating
-                // a read whose lane did not write is idempotent
-                self.cohort_schedule_mem_readers(c, mem_index);
+            if wrote != 0 {
+                // only the writing lanes' memories moved: their reads of
+                // this memory re-resolve in the Active sweep below
+                for &node in &self.mem_readers[mem_index] {
+                    c.wake_node(node, self.level[node as usize], wrote);
+                }
             }
         }
         // Active
@@ -428,59 +596,102 @@ impl<'n> Simulator<'n> {
         for n in nets {
             c.forced[n as usize] = false;
             if let Some(node) = self.driver_node[n as usize] {
-                self.cohort_schedule_node(c, node);
+                c.wake_node(node, self.level[node as usize], c.live);
             }
         }
         self.cohort_settle(c);
     }
 
-    /// Drains the cohort dirty buckets level-ascending to quiescence. Like
-    /// the scalar settle, nodes only schedule strictly higher levels
-    /// within a pass, so one ascending sweep suffices; each node is
-    /// evaluated once over all 64 lanes.
+    /// Sweeps the tape from the lowest pending level to the top: every
+    /// gate of a swept level is evaluated once over all 64 lanes, then the
+    /// level's read ports with pending lanes are re-resolved. Nodes only
+    /// feed strictly higher levels, so one ascending pass reaches
+    /// quiescence; with nothing pending this is a single compare.
     fn cohort_settle(&mut self, c: &mut PathCohort) {
-        for lvl in 0..=self.max_level as usize {
-            while let Some(idx) = c.dirty[lvl].pop() {
-                c.in_queue[idx as usize] = false;
-                self.cohort_eval_node(c, idx);
+        if c.pending_level == NO_LEVEL {
+            return;
+        }
+        // forces only exist during the first cycle, attribution only when
+        // asked for: the common sweep is compiled without either test
+        if c.force_planes.is_empty() && c.attr.is_none() {
+            self.cohort_sweep::<false>(c);
+        } else {
+            self.cohort_sweep::<true>(c);
+        }
+    }
+
+    /// The sweep proper; `HOOKS` compiles in the force override and the
+    /// first-toggle log.
+    fn cohort_sweep<const HOOKS: bool>(&mut self, c: &mut PathCohort) {
+        let tape = Arc::clone(&c.tape);
+        let live = c.live;
+        for lvl in c.pending_level as usize..tape.level_ops.len() - 1 {
+            let ops = &tape.ops[tape.level_ops[lvl] as usize..tape.level_ops[lvl + 1] as usize];
+            for op in ops {
+                let p = |net: u32| c.planes[net as usize];
+                let mut y = match op.kind {
+                    CellKind::Const0 => Lanes::ZEROS,
+                    CellKind::Const1 => Lanes::ONES,
+                    CellKind::Buf => plane::buf(p(op.in0)),
+                    CellKind::Not => plane::not(p(op.in0)),
+                    CellKind::And2 => plane::and2(p(op.in0), p(op.in1)),
+                    CellKind::Or2 => plane::or2(p(op.in0), p(op.in1)),
+                    CellKind::Nand2 => plane::nand2(p(op.in0), p(op.in1)),
+                    CellKind::Nor2 => plane::nor2(p(op.in0), p(op.in1)),
+                    CellKind::Xor2 => plane::xor2(p(op.in0), p(op.in1)),
+                    CellKind::Xnor2 => plane::xnor2(p(op.in0), p(op.in1)),
+                    CellKind::Mux2 => plane::mux2(p(op.in0), p(op.in1), p(op.in2)),
+                };
+                let out = op.out as usize;
+                if HOOKS && c.forced[out] {
+                    self.forced_writes += 1;
+                    y = c.force_planes[&op.out];
+                }
+                // the change test of `cohort_write`, kept free of the
+                // data-dependent branch: an unchanged net stores back its
+                // own bits, and every level above is swept anyway, so the
+                // write has nothing to wake but a read port
+                let old = c.planes[out];
+                let changed = old.diff_mask(y) & live;
+                c.planes[out] = old.merge_masked(y, changed);
+                c.toggled[out] |= changed != 0;
+                if HOOKS {
+                    if let Some(a) = &mut c.attr {
+                        a.first_toggles(op.out, changed, c.cycle);
+                    }
+                }
+                if op.wakes_read && changed != 0 {
+                    self.cohort_wake_reads(c, op.out, changed);
+                }
             }
+            for r in tape.level_reads[lvl] as usize..tape.level_reads[lvl + 1] as usize {
+                let lanes = std::mem::take(&mut c.read_pending[r]) & live;
+                if lanes != 0 {
+                    self.cohort_resolve_read(c, tape.reads[r], lanes);
+                }
+            }
+            self.batched_level_evals += 1;
         }
+        // writes during the sweep only woke levels it went on to visit
+        c.pending_level = NO_LEVEL;
     }
 
-    fn cohort_schedule_node(&self, c: &mut PathCohort, idx: u32) {
-        if !c.in_queue[idx as usize] {
-            c.in_queue[idx as usize] = true;
-            c.dirty[self.level[idx as usize] as usize].push(idx);
-        }
-    }
-
-    fn cohort_schedule_fanout(&self, c: &mut PathCohort, net: u32) {
-        let s = self.fanout_start[net as usize] as usize;
-        let e = self.fanout_start[net as usize + 1] as usize;
-        for k in s..e {
-            self.cohort_schedule_node(c, self.fanout_list[k]);
-        }
-    }
-
-    fn cohort_schedule_mem_readers(&self, c: &mut PathCohort, mem_index: usize) {
-        for &node in &self.mem_readers[mem_index] {
-            self.cohort_schedule_node(c, node);
+    /// Marks `lanes` of every read port `net` addresses for re-resolution.
+    fn cohort_wake_reads(&self, c: &mut PathCohort, net: u32, lanes: u64) {
+        let s = self.memread_fanout_start[net as usize] as usize;
+        let e = self.memread_fanout_start[net as usize + 1] as usize;
+        for &node in &self.memread_fanout_list[s..e] {
+            c.read_pending[c.tape.read_of_node[node as usize] as usize] |= lanes;
         }
     }
 
     /// Lane-masked writeback of `y` to `net`: only live lanes whose value
     /// actually changed are patched ([`Lanes::merge_masked`]), dead lanes
-    /// are untouched by construction, and any change marks the toggle
-    /// profile and schedules the net's fanout — the cohort mirror of
-    /// [`Simulator::set_value`], including the force override on
-    /// evaluation writes.
-    fn cohort_write(&mut self, c: &mut PathCohort, net: u32, y: Lanes, from_eval: bool) {
-        let y = if from_eval && c.forced[net as usize] {
-            self.forced_writes += 1;
-            c.force_planes[&net]
-        } else {
-            y
-        };
+    /// are untouched by construction, and any change marks the net toggled
+    /// and wakes the levels and read ports it feeds — the cohort mirror of
+    /// [`Simulator::set_value`]. Force overrides are the evaluating
+    /// caller's business.
+    fn cohort_write(&mut self, c: &mut PathCohort, net: u32, y: Lanes) {
         let old = c.planes[net as usize];
         let changed = old.diff_mask(y) & c.live;
         if changed == 0 {
@@ -491,92 +702,83 @@ impl<'n> Simulator<'n> {
         // activity observers are refused at pack time, and first-exercise
         // attribution goes to the cohort's own per-lane log (the scalar
         // buffer's cycle counter is unrelated mid-cohort)
-        if let Some(p) = &mut self.profile {
-            p.mark(NetId(net));
-        }
+        c.toggled[net as usize] = true;
         if let Some(a) = &mut c.attr {
-            let new = changed & !a.seen[net as usize];
-            if new != 0 {
-                a.seen[net as usize] |= new;
-                a.log.push((net, new, c.cycle));
-            }
+            a.first_toggles(net, changed, c.cycle);
         }
-        self.cohort_schedule_fanout(c, net);
+        c.pending_level = c.pending_level.min(c.tape.net_level[net as usize]);
+        self.cohort_wake_reads(c, net, changed);
     }
 
-    /// Evaluates one node over all 64 lanes: gates via the plane algebra
-    /// (one word-op evaluates every member path at once), memory reads
-    /// per live lane against the lane's own memories.
-    fn cohort_eval_node(&mut self, c: &mut PathCohort, idx: u32) {
+    /// Re-resolves one read port for `lanes`, each against its own
+    /// memories; the other lanes' data planes already hold their words.
+    /// Siblings mostly agree on the address and share every page of the
+    /// memory, so each distinct (address, contents) class resolves once.
+    fn cohort_resolve_read(&mut self, c: &mut PathCohort, read: TapeRead, lanes: u64) {
         self.event_evals += 1;
-        match self.nodes[idx as usize] {
-            CombNode::Gate(g) => {
-                use symsim_logic::plane;
-                use symsim_netlist::CellKind as K;
-                let gate = self.netlist.gate(g);
-                let p = |i: usize| c.planes[gate.inputs[i].0 as usize];
-                let y = match gate.kind {
-                    K::Const0 => Lanes::ZEROS,
-                    K::Const1 => Lanes::ONES,
-                    K::Buf => plane::buf(p(0)),
-                    K::Not => plane::not(p(0)),
-                    K::And2 => plane::and2(p(0), p(1)),
-                    K::Or2 => plane::or2(p(0), p(1)),
-                    K::Nand2 => plane::nand2(p(0), p(1)),
-                    K::Nor2 => plane::nor2(p(0), p(1)),
-                    K::Xor2 => plane::xor2(p(0), p(1)),
-                    K::Xnor2 => plane::xnor2(p(0), p(1)),
-                    K::Mux2 => plane::mux2(p(0), p(1), p(2)),
+        let nl = self.netlist;
+        let mem_index = read.mem as usize;
+        let rp = &nl.memories()[mem_index].read_ports[read.port as usize];
+        let max_bits = self.config.max_addr_enum_bits;
+        let mut out = std::mem::take(&mut c.mem_scratch);
+        out.clear();
+        out.extend(rp.data.iter().map(|&n| c.planes[n.0 as usize]));
+        let mut todo = lanes;
+        while todo != 0 {
+            let lane = todo.trailing_zeros();
+            // the pending lanes reading what `lane` reads: equal address
+            // bits on every address net, and physically shared contents
+            let mut class = todo;
+            for &a in &rp.addr {
+                let p = c.planes[a.0 as usize];
+                let like = |plane: u64| {
+                    if plane >> lane & 1 == 1 {
+                        plane
+                    } else {
+                        !plane
+                    }
                 };
-                let out = gate.output.0;
-                self.cohort_write(c, out, y, true);
+                class &= like(p.val) & like(p.unk);
             }
-            CombNode::MemRead { mem, port } => {
-                let nl = self.netlist;
-                let mem_index = mem.0 as usize;
-                let rp = &nl.memories()[mem_index].read_ports[port];
-                let max_bits = self.config.max_addr_enum_bits;
-                let mut out = std::mem::take(&mut c.mem_scratch);
-                out.clear();
-                out.extend(rp.data.iter().map(|&n| c.planes[n.0 as usize]));
-                let mut m = c.live;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    let addr: Word = rp
-                        .addr
-                        .iter()
-                        .map(|&a| c.planes[a.0 as usize].get(lane))
-                        .collect();
-                    let (word, was_all) =
-                        resolve_lane_read(&c.lane_mems[lane as usize][mem_index], &addr, max_bits);
-                    if was_all {
-                        // exact this cycle, unamortizable from here on:
-                        // spill the lane at the next region boundary
-                        c.spill_pending |= 1 << lane;
-                    }
-                    debug_assert!(
-                        word.iter().all(|&v| plane_exact(v)),
-                        "cohort memories must stay Z/symbol-free"
-                    );
-                    for (i, l) in out.iter_mut().enumerate() {
-                        l.set(lane, word.bit(i));
-                    }
+            let mem = &c.lane_mems[lane as usize][mem_index];
+            let mut others = class & (class - 1);
+            while others != 0 {
+                let l = others.trailing_zeros();
+                others &= others - 1;
+                if !c.lane_mems[l as usize][mem_index].shares_pages_with(mem) {
+                    class &= !(1 << l);
                 }
-                for (i, &nid) in rp.data.iter().enumerate() {
-                    let y = out[i];
-                    self.cohort_write(c, nid.0, y, true);
-                }
-                c.mem_scratch = out;
+            }
+            todo &= !class;
+            let addr: Word = rp
+                .addr
+                .iter()
+                .map(|&a| c.planes[a.0 as usize].get(lane))
+                .collect();
+            let (word, was_all) = resolve_lane_read(mem, &addr, max_bits);
+            if was_all {
+                // exact this cycle, unamortizable from here on: spill the
+                // lanes at the next region boundary
+                c.spill_pending |= class;
+            }
+            debug_assert!(
+                !word.iter().any(|&v| plane_inexact(v)),
+                "cohort memories must stay Z/symbol-free"
+            );
+            for (i, l) in out.iter_mut().enumerate() {
+                *l = l.merge_masked(Lanes::broadcast(word.bit(i)), class);
             }
         }
+        for (i, &nid) in rp.data.iter().enumerate() {
+            let mut y = out[i];
+            if c.forced[nid.0 as usize] {
+                self.forced_writes += 1;
+                y = c.force_planes[&nid.0];
+            }
+            self.cohort_write(c, nid.0, y);
+        }
+        c.mem_scratch = out;
     }
-}
-
-/// True when the planes represent `v` exactly (`Logic` values only).
-#[inline]
-fn plane_exact(v: Value) -> bool {
-    !matches!(v, Value::Sym(_)) && v != Value::Z
 }
 
 /// One lane's memory read: the conservative merge of every word the
@@ -584,27 +786,13 @@ fn plane_exact(v: Value) -> bool {
 /// [`Simulator::mem_read_resolve`] but no all-words cache — the second
 /// return flags the `AddrSet::All` case so the caller can spill the lane.
 fn resolve_lane_read(mem: &MemArray, addr: &Word, max_enum_bits: u32) -> (Word, bool) {
-    match enumerate_addresses(addr, mem.depth(), max_enum_bits) {
-        AddrSet::None => (Word::xs(mem.width()), false),
-        AddrSet::Some(addrs) => {
-            let mut it = addrs.into_iter();
-            let mut acc = match it.next() {
-                None => return (Word::xs(mem.width()), false),
-                Some(a0) => mem.word(a0),
-            };
-            for a in it {
-                acc = acc.merge(&mem.word(a));
-            }
-            (acc, false)
-        }
-        AddrSet::All => {
-            let mut acc = mem.word(0);
-            for a in 1..mem.depth() {
-                acc = acc.merge(&mem.word(a));
-            }
-            (acc, true)
-        }
-    }
+    let (addrs, all) = match enumerate_addresses(addr, mem.depth(), max_enum_bits) {
+        AddrSet::None => (Vec::new(), false),
+        AddrSet::Some(addrs) => (addrs, false),
+        AddrSet::All => ((0..mem.depth()).collect(), true),
+    };
+    let word = mem.merge_words(addrs);
+    (word.unwrap_or_else(|| Word::xs(mem.width())), all)
 }
 
 /// One lane's write commit, mirroring [`Simulator::commit_mem_write`]
@@ -635,7 +823,7 @@ fn commit_lane_mem_write(mem: &mut MemArray, addr: &Word, data: &Word, we: Value
 
 #[cfg(test)]
 mod tests {
-    use super::super::{EvalMode, HaltReason, MonitorSpec, SimConfig};
+    use super::super::{HaltReason, MonitorSpec, SimConfig};
     use super::*;
     use symsim_logic::plane;
     use symsim_netlist::{Netlist, RtlBuilder};
@@ -674,27 +862,22 @@ mod tests {
         (nl, qual, sig, fin)
     }
 
-    fn prepared(nl: &Netlist, mode: EvalMode) -> Simulator<'_> {
-        let mut sim = Simulator::new(
-            nl,
-            SimConfig {
-                eval_mode: mode,
-                ..SimConfig::default()
-            },
-        );
+    fn prepared(nl: &Netlist) -> Simulator<'_> {
+        let mut sim = Simulator::new(nl, SimConfig::default());
         let cond = nl.find_net("cond_in").unwrap();
         sim.poke(cond, Value::X);
         sim.settle();
         sim
     }
 
-    /// Cohort lanes must retrace the scalar segment protocol bit-exactly:
-    /// run the fork's children scalar (force → settle → step → release →
-    /// run) and compare every lane's unpacked snapshot.
+    /// Lanes settled by the tape sweep must retrace the scalar segment
+    /// protocol bit-exactly: run the fork's children scalar (force → settle
+    /// → step → release → run) and compare every lane's unpacked snapshot.
+    /// `tests/cohort_props.rs` repeats this on random netlists.
     #[test]
     fn cohort_lanes_match_scalar_segments() {
         let (nl, qual, sig, fin) = branchy();
-        let mut sim = prepared(&nl, EvalMode::Cohort);
+        let mut sim = prepared(&nl);
         sim.monitor_x(MonitorSpec {
             qualifier: Some(qual),
             signals: vec![sig],
@@ -742,7 +925,7 @@ mod tests {
     #[test]
     fn pack_refuses_inexact_bases() {
         let (nl, _, _, _) = branchy();
-        let sim = prepared(&nl, EvalMode::Cohort);
+        let sim = prepared(&nl);
         let mut base = SimState {
             values: vec![Value::ZERO; nl.net_count()],
             mems: vec![MemArray::xs(8, 3)],
@@ -755,12 +938,20 @@ mod tests {
         assert!(sim.cohort_pack(&base, 2).is_none(), "symbol in base");
         base.values[0] = Value::Z;
         assert!(sim.cohort_pack(&base, 2).is_none(), "Z in base");
+        // a symbol that only lives in a memory word must refuse too — in
+        // release builds as well (this used to be a debug assertion)
+        base.values[0] = Value::ZERO;
+        assert!(sim.cohort_pack(&base, 2).is_some());
+        let mut word = Word::zeros(3);
+        word.set_bit(1, Value::symbol(9));
+        base.mems[0].set_word(5, &word);
+        assert!(sim.cohort_pack(&base, 2).is_none(), "symbol in base memory");
     }
 
     #[test]
     fn masked_lanes_stay_frozen_after_halt() {
         let (nl, qual, sig, fin) = branchy();
-        let mut sim = prepared(&nl, EvalMode::Cohort);
+        let mut sim = prepared(&nl);
         sim.monitor_x(MonitorSpec {
             qualifier: Some(qual),
             signals: vec![sig],

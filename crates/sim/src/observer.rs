@@ -34,6 +34,18 @@ impl ToggleProfile {
         self.toggled[net.0 as usize] = true;
     }
 
+    /// Marks every net flagged in `marks` toggled (one flag per net).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the flag count differs from the net count.
+    pub fn mark_all(&mut self, marks: &[bool]) {
+        assert_eq!(self.toggled.len(), marks.len(), "one mark per net");
+        for (t, &m) in self.toggled.iter_mut().zip(marks) {
+            *t |= m;
+        }
+    }
+
     /// Has `net` toggled?
     pub fn is_toggled(&self, net: NetId) -> bool {
         self.toggled[net.0 as usize]

@@ -38,11 +38,31 @@ pub fn reset_cow_clone_stats() {
 /// O(pages) reference-count bumps; the underlying bits are shared until
 /// written. All mutation goes through [`MemArray::set_word`] /
 /// [`MemArray::merge_word`], which split only the touched page.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct MemArray {
     width: usize,
     depth: usize,
     pages: Vec<Arc<Vec<Value>>>,
+    // sticky: some `Z` or tagged symbol was ever stored (it may since have
+    // been overwritten), so `may_hold_inexact` is O(1) instead of a scan
+    inexact: bool,
+}
+
+/// Contents equality; the sticky [`MemArray::may_hold_inexact`] flag is
+/// bookkeeping about the array's history and takes no part.
+impl PartialEq for MemArray {
+    fn eq(&self, other: &MemArray) -> bool {
+        self.width == other.width && self.depth == other.depth && self.pages == other.pages
+    }
+}
+
+impl Eq for MemArray {}
+
+/// True when the two-plane encoding cannot represent `v` exactly: `Z` and
+/// tagged symbols fold to an anonymous unknown there.
+#[inline]
+pub(crate) fn plane_inexact(v: Value) -> bool {
+    matches!(v, Value::Sym(_)) || v == Value::Z
 }
 
 impl MemArray {
@@ -59,6 +79,7 @@ impl MemArray {
             width,
             depth,
             pages,
+            inexact: false,
         }
     }
 
@@ -72,6 +93,7 @@ impl MemArray {
         let depth = bits.len().checked_div(width).unwrap_or(0);
         assert_eq!(depth * width, bits.len(), "flat contents not word-aligned");
         let mut m = MemArray::xs(depth, width);
+        m.inexact = bits.iter().any(|&v| plane_inexact(v));
         for (p, chunk) in bits.chunks(PAGE_WORDS * width.max(1)).enumerate() {
             if width > 0 {
                 m.pages[p] = Arc::new(chunk.to_vec());
@@ -88,6 +110,13 @@ impl MemArray {
     /// Number of words.
     pub fn depth(&self) -> usize {
         self.depth
+    }
+
+    /// Conservatively, whether any bit may be a `Z` or a tagged symbol:
+    /// `false` guarantees every bit is `0`/`1`/`X`; `true` means such a
+    /// value was stored at some point (the flag is sticky, never a scan).
+    pub fn may_hold_inexact(&self) -> bool {
+        self.inexact
     }
 
     /// Number of copy-on-write pages.
@@ -136,11 +165,45 @@ impl MemArray {
     ///
     /// Panics if `addr >= depth`.
     pub fn word(&self, addr: usize) -> Word {
+        self.word_bits(addr).iter().copied().collect()
+    }
+
+    /// The bits of word `addr`, LSB first, borrowed from its page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr >= depth`.
+    pub fn word_bits(&self, addr: usize) -> &[Value] {
         let (page, lo) = self.locate(addr);
-        self.pages[page][lo..lo + self.width]
-            .iter()
-            .copied()
-            .collect()
+        &self.pages[page][lo..lo + self.width]
+    }
+
+    /// Conservative join of the words at `addrs` — what a read whose
+    /// address could select any of them returns; `None` for no address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an address is out of range.
+    pub fn merge_words(&self, addrs: impl IntoIterator<Item = usize>) -> Option<Word> {
+        let mut addrs = addrs.into_iter();
+        let mut acc = self.word_bits(addrs.next()?).to_vec();
+        for a in addrs {
+            for (x, &v) in acc.iter_mut().zip(self.word_bits(a)) {
+                *x = x.merge(v);
+            }
+        }
+        Some(Word::from_bits(acc))
+    }
+
+    /// True when every page is physically shared with `other`: equal
+    /// contents established without reading them (`false` says nothing).
+    pub fn shares_pages_with(&self, other: &MemArray) -> bool {
+        self.pages.len() == other.pages.len()
+            && self
+                .pages
+                .iter()
+                .zip(&other.pages)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
     /// Reads bit `bit` of word `addr`.
@@ -162,10 +225,13 @@ impl MemArray {
     pub fn set_word(&mut self, addr: usize, w: &Word) {
         assert_eq!(w.width(), self.width, "memory word width mismatch");
         let (page, lo) = self.locate(addr);
+        let mut inexact = false;
         let bits = self.page_mut(page);
         for (i, &v) in w.iter().enumerate() {
             bits[lo + i] = v;
+            inexact |= plane_inexact(v);
         }
+        self.inexact |= inexact;
     }
 
     /// Merges `w` into word `addr` (conservative join, used for writes with
@@ -183,10 +249,14 @@ impl MemArray {
                 return;
             }
         }
+        // a join only yields Z or a symbol when an operand already is one
+        let mut inexact = false;
         let bits = self.page_mut(page);
         for (i, &v) in w.iter().enumerate() {
             bits[lo + i] = bits[lo + i].merge(v);
+            inexact |= plane_inexact(v);
         }
+        self.inexact |= inexact;
     }
 
     /// Iterates all bits, LSB of word 0 first.
@@ -220,6 +290,7 @@ impl MemArray {
                     }
                 })
                 .collect(),
+            inexact: self.inexact || other.inexact,
         }
     }
 

@@ -78,12 +78,8 @@ fn all_modes_reach_identical_states() {
     let (event, _) = run_datapath(&nl, EvalMode::Event, false);
     let (batch, _) = run_datapath(&nl, EvalMode::Batch, false);
     let (hybrid, _) = run_datapath(&nl, EvalMode::Hybrid, false);
-    // at the Simulator level, cohort mode's scalar settles dispatch
-    // exactly like hybrid (lane packing happens in the explorer)
-    let (cohort, _) = run_datapath(&nl, EvalMode::Cohort, false);
     assert_eq!(event, batch, "batch mode diverged from event mode");
     assert_eq!(event, hybrid, "hybrid mode diverged from event mode");
-    assert_eq!(event, cohort, "cohort mode diverged from event mode");
 }
 
 #[test]
@@ -135,12 +131,7 @@ fn tagged_symbols_fall_back_to_scalar_lanes() {
     b.output("y", &symsim_netlist::Bus::from_nets(vec![y]));
     b.output("z", &symsim_netlist::Bus::from_nets(vec![z]));
     let nl = b.finish().unwrap();
-    for mode in [
-        EvalMode::Event,
-        EvalMode::Batch,
-        EvalMode::Hybrid,
-        EvalMode::Cohort,
-    ] {
+    for mode in [EvalMode::Event, EvalMode::Batch, EvalMode::Hybrid] {
         let mut sim = Simulator::new(
             &nl,
             SimConfig {

@@ -4,7 +4,7 @@
 //! registry snapshot, and any drift (a path counted in one place but not
 //! the other, cycles double-counted by a worker) is a bug.
 //!
-//! Runs two (cpu, benchmark) pairs through all five evaluation modes.
+//! Runs two (cpu, benchmark) pairs through all four evaluation modes.
 
 use std::sync::Arc;
 
@@ -14,11 +14,10 @@ use symsim_obs::{CounterId, GaugeId, MetricsRegistry};
 use symsim_sim::{EvalMode, SimConfig};
 
 const PAIRS: [(CpuKind, &str); 2] = [(CpuKind::Omsp16, "div"), (CpuKind::Bm32, "insort")];
-const MODES: [EvalMode; 5] = [
+const MODES: [EvalMode; 4] = [
     EvalMode::Event,
     EvalMode::Batch,
     EvalMode::Hybrid,
-    EvalMode::Cohort,
     EvalMode::Compiled,
 ];
 
@@ -97,9 +96,7 @@ fn registry_counters_match_report_fields_across_eval_modes() {
                     report.batched_level_evals, 0,
                     "{ctx}: event mode must not run level tapes"
                 ),
-                // cohort mode's scalar segments (the root, spilled lanes)
-                // dispatch exactly like hybrid
-                EvalMode::Batch | EvalMode::Hybrid | EvalMode::Cohort => assert!(
+                EvalMode::Batch | EvalMode::Hybrid => assert!(
                     report.batched_level_evals > 0,
                     "{ctx}: batched dispatch never engaged"
                 ),
@@ -119,12 +116,13 @@ fn registry_counters_match_report_fields_across_eval_modes() {
                     }
                 }
             }
-            if mode == EvalMode::Cohort {
-                assert!(
-                    registry.counter_total(CounterId::CohortsFormed) > 0,
-                    "{ctx}: no cohorts formed in cohort mode"
-                );
-            }
+            // sibling paths pack into lane cohorts in every mode but the
+            // purely scalar event oracle
+            assert_eq!(
+                registry.counter_total(CounterId::CohortsFormed) > 0,
+                mode != EvalMode::Event,
+                "{ctx}: cohorts formed"
+            );
 
             // the snapshot embedded in the report agrees with the registry
             assert_eq!(

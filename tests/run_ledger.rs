@@ -29,14 +29,14 @@ fn record(kind: CpuKind, bench: &str, mode: EvalMode) -> LedgerRecord {
     )
 }
 
-/// The digest is a function of the verdict alone: event, hybrid, cohort,
+/// The digest is a function of the verdict alone: event, batch, hybrid,
 /// and compiled runs of the same pair must produce the identical digest
 /// (they have different config fingerprints — they are different runs —
 /// but the exercisable-gate set may never move).
 #[test]
 fn verdict_digest_is_stable_across_eval_modes() {
     let event = record(CpuKind::Omsp16, "div", EvalMode::Event);
-    for mode in [EvalMode::Hybrid, EvalMode::Cohort, EvalMode::Compiled] {
+    for mode in [EvalMode::Batch, EvalMode::Hybrid, EvalMode::Compiled] {
         let other = record(CpuKind::Omsp16, "div", mode);
         assert_eq!(
             event.verdict_digest,
