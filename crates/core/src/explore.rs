@@ -981,7 +981,6 @@ impl<'n> CoAnalysis<'n> {
         let key = pc_key(&pc);
         let pc_label = tr.map(|_| key.to_string());
         let csm_t0 = tr.map(|_| Instant::now());
-        let seg_t0 = csm_t0;
         let (observation, demotion, born_seq) = {
             let mut guard = csm.lock().unwrap();
             let obs = guard.observe_key(key.clone(), &task.state);
@@ -1047,7 +1046,9 @@ impl<'n> CoAnalysis<'n> {
                     .u64("children", children as u64)
                     .u64("csm_us", csm_us)
                     .u64("wait_us", wait_us)
-                    .u64("seg_us", elapsed_us(seg_t0));
+                    // the observation is the whole segment: lock, observe,
+                    // and the spawning of any children
+                    .u64("seg_us", elapsed_us(csm_t0));
             });
         }
     }
@@ -1263,12 +1264,6 @@ mod tests {
     /// A miniature "processor": 3-bit PC counting up; at PC==2 a branch on
     /// an X input either jumps back to 0 or continues; finish at PC==5.
     fn branchy_design() -> (Netlist, DesignInterface) {
-        branchy_design_with(false)
-    }
-
-    /// [`branchy_design`], optionally with an 8 x 3 data memory written and
-    /// read at the PC every cycle.
-    fn branchy_design_with(memory: bool) -> (Netlist, DesignInterface) {
         let mut b = RtlBuilder::new("branchy");
         let cond_in = b.input("cond_in", 1);
         let pc = b.reg("pc", 3, 0);
@@ -1285,13 +1280,6 @@ mod tests {
         let taken = b.name_net("taken", taken_raw);
         let next = b.mux(taken, &next_seq, &target);
         b.drive_reg(pc, &next);
-        if memory {
-            let m = b.memory("dmem", 8, 3);
-            let one = b.one();
-            b.mem_write(m, &pcq, &pcq, one);
-            let rd = b.mem_read(m, &pcq);
-            b.output("rd", &rd);
-        }
         let five = b.const_word(5, 3);
         let done_raw = b.eq(&pcq, &five);
         let done = b.name_net("done", done_raw);
@@ -1414,56 +1402,6 @@ mod tests {
         assert_eq!(
             es.histograms[HistogramId::SplitFanout as usize],
             cs.histograms[HistogramId::SplitFanout as usize]
-        );
-    }
-
-    /// Regression: `cohort_pack` only debug-asserted that the base
-    /// *memories* are Z/symbol-free, so a release build packed such a state
-    /// and the planes silently folded the symbol. A symbol planted in data
-    /// memory (anonymous policy) must fall back to scalar segments and
-    /// reproduce event mode exactly.
-    #[test]
-    fn symbol_in_data_memory_falls_back_to_scalar_segments() {
-        let (nl, iface) = branchy_design_with(true);
-        let cond = nl.find_net("cond_in").unwrap();
-        let run = |mode: EvalMode, plant: bool| {
-            let config = CoAnalysisConfig {
-                sim: SimConfig {
-                    eval_mode: mode,
-                    ..SimConfig::default()
-                },
-                ..CoAnalysisConfig::default()
-            };
-            CoAnalysis::new(&nl, iface.clone(), config)
-                .unwrap()
-                .run(|sim| {
-                    sim.poke(cond, Value::X);
-                    if plant {
-                        // read on the fall-through path, after the fork
-                        sim.write_mem_word(0, 4, &Word::symbols(7, 3));
-                    }
-                })
-        };
-        let event = run(EvalMode::Event, true);
-        let packed = run(EvalMode::default(), true);
-        assert_eq!(event.paths_created, packed.paths_created);
-        assert_eq!(event.paths_skipped, packed.paths_skipped);
-        assert_eq!(event.paths_finished, packed.paths_finished);
-        assert_eq!(event.simulated_cycles, packed.simulated_cycles);
-        assert_eq!(event.exercisable_gates, packed.exercisable_gates);
-        assert_eq!(event.verdict_digest, packed.verdict_digest);
-        assert_eq!(event.profile, packed.profile);
-        assert_eq!(
-            packed.metrics.counter("cohorts_formed"),
-            0,
-            "a symbol-carrying memory must not be packed"
-        );
-        // the fallback is what kept it scalar: without the symbol it packs
-        assert!(
-            run(EvalMode::default(), false)
-                .metrics
-                .counter("cohorts_formed")
-                > 0
         );
     }
 

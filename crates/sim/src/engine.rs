@@ -7,7 +7,7 @@ use symsim_netlist::{CellKind, CombNode, Driver, NetId, Netlist};
 
 use crate::activity::ActivityStats;
 use crate::observer::ToggleProfile;
-use crate::state::{MemArray, SimState};
+use crate::state::{plane_inexact, MemArray, SimState};
 
 mod cohort;
 
@@ -1024,7 +1024,7 @@ impl<'n> Simulator<'n> {
                     // the borrow of `self.values`; patch through disjoint
                     // fields instead
                     let (vb, ub) = plane::encode(v);
-                    let sym = matches!(v, Value::Sym(_)) || v == Value::Z;
+                    let sym = plane_inexact(v);
                     if mp {
                         let s = self.subs_start[net] as usize;
                         let e = self.subs_start[net + 1] as usize;
@@ -1044,7 +1044,7 @@ impl<'n> Simulator<'n> {
                         self.cplanes_val[w] = self.cplanes_val[w] & !m | if vb { m } else { 0 };
                         self.cplanes_unk[w] = self.cplanes_unk[w] & !m | if ub { m } else { 0 };
                         if self.gate_driven[net] {
-                            let was = matches!(old, Value::Sym(_)) || old == Value::Z;
+                            let was = plane_inexact(old);
                             match (was, sym) {
                                 (false, true) => self.inexact_gate_outs += 1,
                                 (true, false) => self.inexact_gate_outs -= 1,
@@ -1187,7 +1187,7 @@ impl<'n> Simulator<'n> {
         // lanes the planes cannot represent exactly: tagged symbols (whose
         // identity scalar evaluation must preserve) and high-impedance Z
         // (which folds to unknown, hiding e.g. a Z -> X output transition)
-        let sym = matches!(v, Value::Sym(_)) || v == Value::Z;
+        let sym = plane_inexact(v);
         let s = self.subs_start[net as usize] as usize;
         let e = self.subs_start[net as usize + 1] as usize;
         for k in s..e {
@@ -1227,8 +1227,8 @@ impl<'n> Simulator<'n> {
         if !self.gate_driven[net as usize] {
             return;
         }
-        let was = matches!(old, Value::Sym(_)) || old == Value::Z;
-        let is = matches!(new, Value::Sym(_)) || new == Value::Z;
+        let was = plane_inexact(old);
+        let is = plane_inexact(new);
         match (was, is) {
             (false, true) => self.inexact_gate_outs += 1,
             (true, false) => self.inexact_gate_outs -= 1,
@@ -1252,7 +1252,7 @@ impl<'n> Simulator<'n> {
             if v != Value::X {
                 self.update_cplane(net as u32, v);
             }
-            if (matches!(v, Value::Sym(_)) || v == Value::Z) && self.gate_driven[net] {
+            if plane_inexact(v) && self.gate_driven[net] {
                 self.inexact_gate_outs += 1;
             }
         }

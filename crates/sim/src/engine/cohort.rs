@@ -786,12 +786,11 @@ impl<'n> Simulator<'n> {
 /// [`Simulator::mem_read_resolve`] but no all-words cache — the second
 /// return flags the `AddrSet::All` case so the caller can spill the lane.
 fn resolve_lane_read(mem: &MemArray, addr: &Word, max_enum_bits: u32) -> (Word, bool) {
-    let (addrs, all) = match enumerate_addresses(addr, mem.depth(), max_enum_bits) {
-        AddrSet::None => (Vec::new(), false),
-        AddrSet::Some(addrs) => (addrs, false),
-        AddrSet::All => ((0..mem.depth()).collect(), true),
+    let (word, all) = match enumerate_addresses(addr, mem.depth(), max_enum_bits) {
+        AddrSet::None => (None, false),
+        AddrSet::Some(addrs) => (mem.merge_words(addrs), false),
+        AddrSet::All => (mem.merge_words(0..mem.depth()), true),
     };
-    let word = mem.merge_words(addrs);
     (word.unwrap_or_else(|| Word::xs(mem.width())), all)
 }
 

@@ -65,6 +65,12 @@ pub(crate) fn plane_inexact(v: Value) -> bool {
     matches!(v, Value::Sym(_)) || v == Value::Z
 }
 
+/// Whether any bit of `w` is [`plane_inexact`]; no early exit, so the scan
+/// of a word stays a straight (vectorizable) pass on the write path.
+fn holds_inexact(w: &Word) -> bool {
+    w.iter().fold(false, |acc, &v| acc | plane_inexact(v))
+}
+
 impl MemArray {
     /// An all-`X` array.
     pub fn xs(depth: usize, width: usize) -> MemArray {
@@ -225,13 +231,9 @@ impl MemArray {
     pub fn set_word(&mut self, addr: usize, w: &Word) {
         assert_eq!(w.width(), self.width, "memory word width mismatch");
         let (page, lo) = self.locate(addr);
-        let mut inexact = false;
-        let bits = self.page_mut(page);
-        for (i, &v) in w.iter().enumerate() {
-            bits[lo + i] = v;
-            inexact |= plane_inexact(v);
-        }
-        self.inexact |= inexact;
+        self.inexact |= holds_inexact(w);
+        let width = self.width;
+        self.page_mut(page)[lo..lo + width].copy_from_slice(w.as_slice());
     }
 
     /// Merges `w` into word `addr` (conservative join, used for writes with
@@ -250,13 +252,11 @@ impl MemArray {
             }
         }
         // a join only yields Z or a symbol when an operand already is one
-        let mut inexact = false;
+        self.inexact |= holds_inexact(w);
         let bits = self.page_mut(page);
         for (i, &v) in w.iter().enumerate() {
             bits[lo + i] = bits[lo + i].merge(v);
-            inexact |= plane_inexact(v);
         }
-        self.inexact |= inexact;
     }
 
     /// Iterates all bits, LSB of word 0 first.
